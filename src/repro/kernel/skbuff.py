@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.packet import Packet
-from repro.sim import trace
-from repro.sim.costs import DEFAULT_COSTS
-from repro.sim.cpu import ExecContext
 
 
 @dataclass
@@ -34,20 +31,3 @@ class SkBuff:
     def __len__(self) -> int:
         return len(self.pkt)
 
-
-def alloc_skb(pkt: Packet, ctx: ExecContext, dev_ifindex: int = 0,
-              rx_queue: int = 0) -> SkBuff:
-    """Allocate and initialise an sk_buff (slab fast path).
-
-    Charged to the caller's context; on receive that is softirq time,
-    which is where the kernel datapath's Table 4 CPU numbers come from.
-    """
-    ctx.charge(DEFAULT_COSTS.skb_alloc_ns, label="skb_alloc")
-    trace.count("kernel.skb_alloc")
-    return SkBuff(pkt=pkt, dev_ifindex=dev_ifindex, rx_queue=rx_queue)
-
-
-def free_skb(skb: SkBuff, ctx: ExecContext) -> None:
-    """Return the buffer to the slab."""
-    ctx.charge(DEFAULT_COSTS.skb_free_ns, label="skb_free")
-    trace.count("kernel.skb_free")

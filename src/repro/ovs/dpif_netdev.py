@@ -45,7 +45,7 @@ and determinism suites compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.flow import FlowKey, extract_flow
 from repro.net.packet import Packet
@@ -80,15 +80,6 @@ BATCH_CLASSIFY = True
 #: Cap on the per-EMC cross-burst flow cache (token -> classification);
 #: cleared wholesale when full, like a generation flip.
 FLOW_CACHE_MAX = 16384
-
-
-class PortAdapter(Protocol):
-    """Packet I/O the datapath can drive.  AF_XDP, DPDK ethdev, vhostuser
-    and AF_PACKET adapters all satisfy this shape."""
-
-    def rx_burst(self, ctx: ExecContext, batch: int = 32) -> List[Packet]: ...
-
-    def tx_burst(self, pkts: List[Packet], ctx: ExecContext) -> int: ...
 
 
 @dataclass

@@ -112,15 +112,6 @@ Actions = Sequence[OdpAction]
 DROP: Tuple[OdpAction, ...] = ()
 
 
-@dataclass(frozen=True)
-class OdpFlow:
-    """A datapath flow: masked key -> actions (the megaflow unit)."""
-
-    masked_key: Tuple[int, ...]
-    mask: Tuple[int, ...]
-    actions: Tuple[OdpAction, ...]
-
-
 def validate_actions(actions: Actions) -> None:
     """Reject malformed action lists early, like the kernel's netlink
     attribute validation would."""

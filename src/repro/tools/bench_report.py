@@ -430,59 +430,6 @@ def run_pr7_bench(dp_packets: int = 24000, dp_flows: int = 0,
     }
 
 
-def _ledger_workload(workload: str, packets: int) -> Callable[[], str]:
-    def run() -> str:
-        with trace.recording() as rec:
-            if workload == "fig2":
-                from repro.experiments.fig2_single_flow import run_fig2
-
-                run_fig2(packets=packets)
-            elif workload == "table2":
-                from repro.experiments.table2_optimizations import run_table2
-
-                run_table2(packets=packets)
-            else:
-                raise ValueError(f"unknown workload {workload!r}")
-        return rec.ledger()
-
-    return run
-
-
-def run_ledger_bench(workload: str, packets: int = 800,
-                     reps: int = 3) -> Dict:
-    """fig2/table2: wall-clock A/B plus byte-identical-ledger check."""
-    run = _ledger_workload(workload, packets)
-    walls = {}
-    ledgers = {}
-    for mode, batched in (("ref", False), ("batched", True)):
-        _set_mode(batched)
-        best = float("inf")
-        ledger = None
-        for _ in range(reps):
-            with _gc_paused():
-                t0 = time.perf_counter()
-                led = run()
-                best = min(best, time.perf_counter() - t0)
-            if ledger is None:
-                ledger = led
-            elif ledger != led:
-                raise AssertionError(f"{workload}/{mode}: ledger varied")
-        walls[mode] = best
-        ledgers[mode] = ledger
-    if ledgers["ref"] != ledgers["batched"]:
-        raise AssertionError(
-            f"{workload}: batched ledger diverged from reference")
-    return {
-        "workload": workload,
-        "packets": packets,
-        "reps": reps,
-        "ref_wall_s": walls["ref"],
-        "batched_wall_s": walls["batched"],
-        "speedup": walls["ref"] / walls["batched"],
-        "ledger_identical": True,
-    }
-
-
 def run_shard_bench(packets: int = 100_000,
                     workers: Tuple[int, ...] = (1, 2, 4),
                     reps: int = 1) -> Dict:
@@ -563,14 +510,13 @@ def run_bench(workload: str = "fig9", packets: int = 0,
                              table5_packets=packets or 6000, reps=reps)
     if workload == "shard":
         return run_shard_bench(packets=packets or 100_000, reps=reps)
-    return run_ledger_bench(workload, packets=packets or 800, reps=reps)
+    raise ValueError(f"unknown workload {workload!r}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", default="fig9",
-                        choices=["fig9", "fig2", "table2", "pr5", "pr7",
-                                 "shard"])
+                        choices=["fig9", "pr5", "pr7", "shard"])
     parser.add_argument("--packets", type=int, default=0,
                         help="stream length (0 = workload default)")
     parser.add_argument("--reps", type=int, default=3)
@@ -633,7 +579,7 @@ def main(argv=None) -> int:
               f"speedup={report['speedup_at_max_workers']:.2f}x "
               f"({bar}; start method {report['start_method']}, "
               f"values identical: {report['values_identical']})")
-    elif args.workload == "fig9":
+    else:
         for name, cfg in report["configs"].items():
             print(f"{name:18s} ref={cfg['ref_wall_s'] * 1e3:8.1f}ms "
                   f"batched={cfg['batched_wall_s'] * 1e3:8.1f}ms "
@@ -644,9 +590,6 @@ def main(argv=None) -> int:
               f"speedup={agg['speedup']:.2f}x "
               f"(target {report['target_speedup']:.1f}x: "
               f"{'MET' if report['meets_target'] else 'NOT MET'})")
-    else:
-        print(f"{report['workload']}: speedup={report['speedup']:.2f}x "
-              f"(ledger identical: {report['ledger_identical']})")
     print(f"wrote {args.out}")
     return 0
 

@@ -28,7 +28,6 @@ from repro.kernel.netdev import NetDevice, Wire
 from repro.kernel.nic import NicFeatures, PhysicalNic
 from repro.net.addresses import MacAddress
 from repro.net.builder import make_udp_packet
-from repro.ovs import dpif_netdev
 from repro.ovs.appctl import OvsAppctl
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.match import Match
@@ -38,8 +37,7 @@ from repro.sim import faults, trace
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.cpu import CpuCategory, CpuModel, ExecContext
 from repro.sim.faults import FaultPlan, FaultRule
-
-from .test_trace_determinism import _experiment_ledger, _reference_mode
+from repro.tools.equivalence import AXES, REGISTRY, observe, reference_mode
 
 
 def mac(i):
@@ -71,17 +69,15 @@ def _socket(bind_mode=BindMode.ZEROCOPY, prime=64):
 # ======================================================================
 # 1. Zero-overhead-off: inert plans change nothing, byte for byte.
 # ======================================================================
-@pytest.mark.parametrize("experiment,packets",
-                         [("fig2", 400), ("fig9", 300), ("table2", 400)])
+@pytest.mark.parametrize("experiment,packets", [
+    (e, REGISTRY[e].packets) for e in ("fig2", "fig9", "table2")])
 def test_inert_plan_ledger_byte_identical(experiment, packets):
-    """An installed plan with zero-rate rules must not perturb a single
-    ledger byte: no stray RNG draws, no extra charges, no counters."""
-    bare = _experiment_ledger(experiment, packets)
-    inert = FaultPlan(seed=9, rules=[
-        FaultRule(point, rate=0.0) for point in faults.FAULT_POINTS])
-    with faults.injecting(inert):
-        injected = _experiment_ledger(experiment, packets)
-    assert bare == injected
+    """An installed plan with zero-rate rules on every fault point must
+    not perturb a single ledger byte: no stray RNG draws, no extra
+    charges, no counters."""
+    bare = observe(experiment, packets=packets)
+    injected = observe(experiment, AXES["fault_plan_inert"], packets)
+    assert bare.ledger == injected.ledger
 
 
 def test_no_plan_is_the_default():
@@ -466,7 +462,7 @@ def test_batched_and_reference_classification_agree_under_faults():
 
     kwargs = dict(packets=160, n_flows=12, rates=(0.15,), seed=3)
     batched = [p.to_json() for p in run_degradation(**kwargs)]
-    with _reference_mode():
+    with reference_mode():
         reference = [p.to_json() for p in run_degradation(**kwargs)]
     assert batched == reference
 

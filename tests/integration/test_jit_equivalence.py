@@ -10,106 +10,55 @@ through the engine under test — is additionally pinned against the full
 reference mode (no fastpath layers at all).
 """
 
-import contextlib
-
 import pytest
 
 from repro.ebpf import jit
-from repro.ovs import dpif_netdev, dpjit
-from repro.sim import fastpath, profile
-from repro.sim.profile import collapse
-
-PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
+from repro.ovs import dpjit
+from repro.tools.equivalence import AXES, REGISTRY, observe, reference_mode
 
 
-def _run_experiment(experiment: str, packets: int) -> None:
-    if experiment == "fig2":
-        from repro.experiments.fig2_single_flow import run_fig2
-
-        run_fig2(packets=packets)
-    elif experiment == "fig9":
-        from repro.experiments.fig9_forwarding import run_fig9
-
-        run_fig9(packets=packets, scenarios=("P2P",))
-    elif experiment == "table2":
-        from repro.experiments.table2_optimizations import run_table2
-
-        run_table2(packets=packets)
-    else:
-        from repro.experiments.table5_xdp_cost import run_table5
-
-        run_table5(packets=packets)
-
-
-@contextlib.contextmanager
-def _reference_mode():
-    """Everything off: no burst classify, no memos, no JIT."""
-    prev = dpif_netdev.BATCH_CLASSIFY
-    dpif_netdev.BATCH_CLASSIFY = False
-    try:
-        with fastpath.disabled():
-            yield
-    finally:
-        dpif_netdev.BATCH_CLASSIFY = prev
-
-
-def _observe(experiment: str, jit_on: bool = True, dpjit_on: bool = True):
-    """One profiled run -> (ledger, counters, collapsed flamegraph)."""
-    with contextlib.ExitStack() as stack:
-        if not jit_on:
-            stack.enter_context(jit.disabled())
-        if not dpjit_on:
-            stack.enter_context(dpjit.disabled())
-        rec = stack.enter_context(profile.profiling())
-        _run_experiment(experiment, PACKETS[experiment])
-    return rec.ledger(), dict(rec.counters), collapse(rec.profiler.root)
-
-
-@pytest.mark.parametrize("experiment", sorted(PACKETS))
+@pytest.mark.parametrize("experiment", sorted(REGISTRY))
 def test_jit_run_is_byte_identical_to_interpreter_run(experiment):
-    led_jit, counters_jit, flame_jit = _observe(experiment, jit_on=True)
-    led_off, counters_off, flame_off = _observe(experiment, jit_on=False)
-    assert led_jit == led_off
-    assert counters_jit == counters_off
-    assert flame_jit == flame_off
+    on = observe(experiment)
+    off = observe(experiment, AXES["ebpf_jit_off"])
+    assert on.ledger == off.ledger
+    assert on.counters == off.counters
+    assert on.flame == off.flame
     # Sanity: the gate compares something real.
-    assert led_jit and flame_jit
-    assert counters_jit.get("ebpf.runs", 0) > 0
+    assert on.ledger and on.flame
+    assert on.counters.get("ebpf.runs", 0) > 0
 
 
 def test_table5_jit_matches_full_reference_mode():
     """table5 was not covered by PR 2's batched-vs-reference gates; the
     JIT-on ledger must match a run with every fastpath layer stripped."""
-    led_jit, counters_jit, _ = _observe("table5", jit_on=True)
-    with _reference_mode():
-        led_ref, counters_ref, _ = _observe("table5", jit_on=True)
-    assert led_jit == led_ref
-    assert counters_jit == counters_ref
+    on = observe("table5")
+    with reference_mode():
+        ref = observe("table5")
+    assert on.ledger == ref.ledger
+    assert on.counters == ref.counters
 
 
-@pytest.mark.parametrize("experiment", sorted(PACKETS))
+@pytest.mark.parametrize("experiment", sorted(REGISTRY))
 def test_dpjit_run_is_byte_identical_to_generic_walk(experiment):
     """Same contract for the megaflow dp-JIT: compiled action closures
     must be invisible to the ledger, counters, and flames."""
-    dispatched_before = dpjit.STATS.dispatched
-    led_on, counters_on, flame_on = _observe(experiment)
-    dispatched = dpjit.STATS.dispatched - dispatched_before
-    led_off, counters_off, flame_off = _observe(experiment,
-                                                dpjit_on=False)
-    assert led_on == led_off
-    assert counters_on == counters_off
-    assert flame_on == flame_off
-    assert led_on and flame_on
-    if experiment != "table5":
+    on = observe(experiment)
+    off = observe(experiment, AXES["dpjit_off"])
+    assert on.ledger == off.ledger
+    assert on.counters == off.counters
+    assert on.flame == off.flame
+    assert on.ledger and on.flame
+    if REGISTRY[experiment].dpif:
         # table5 is pure XDP — no DpifNetdev, so no dp dispatch there.
-        assert dispatched > 0
+        assert on.dpjit_dispatched > 0
 
 
 def test_dpjit_actually_compiled_the_dp_experiments():
     """Vacuousness guard: fig2's datapath flows must run through
     compiled closures, not fall back to the generic walk."""
     dpjit.reset_stats()
-    _run_experiment("fig2", PACKETS["fig2"])
+    REGISTRY["fig2"].run()
     s = dpjit.STATS
     assert s.compiled > 0 and s.dispatched > 0, (
         s.compiled, s.declined, s.dispatched, s.decline_reasons)
@@ -120,7 +69,7 @@ def test_jit_actually_ran_the_experiments():
     back to the interpreter: table5's four programs must all execute
     through compiled code with zero declines."""
     jit.reset_stats()
-    _run_experiment("table5", PACKETS["table5"])
+    REGISTRY["table5"].run()
     stats = jit.stats()
     ran = {name: st for name, st in stats.items() if st.jit_runs}
     assert len(ran) >= 4, stats

@@ -12,32 +12,13 @@ Three contracts:
 
 import pytest
 
-from repro.sim import profile, trace
-from repro.sim.profile import collapse
+from repro.sim import profile
+from repro.tools.equivalence import AXES, REGISTRY, observe
 
 
-def _run_experiment(experiment: str, packets: int) -> None:
-    if experiment == "fig2":
-        from repro.experiments.fig2_single_flow import run_fig2
-
-        run_fig2(packets=packets)
-    elif experiment == "fig9":
-        from repro.experiments.fig9_forwarding import run_fig9
-
-        run_fig9(packets=packets, scenarios=("P2P",))
-    elif experiment == "table2":
-        from repro.experiments.table2_optimizations import run_table2
-
-        run_table2(packets=packets)
-    else:
-        from repro.experiments.table5_xdp_cost import run_table5
-
-        run_table5(packets=packets)
-
-
-def _profiled(experiment: str, packets: int):
+def _profiled(experiment: str):
     with profile.profiling() as rec:
-        _run_experiment(experiment, packets)
+        REGISTRY[experiment].run()
     return rec
 
 
@@ -47,12 +28,9 @@ def _walk(node):
         yield from _walk(child)
 
 
-PACKETS = {"fig2": 400, "fig9": 300, "table2": 400, "table5": 500}
-
-
-@pytest.mark.parametrize("experiment", sorted(PACKETS))
+@pytest.mark.parametrize("experiment", sorted(REGISTRY))
 def test_profile_conserves_against_ledger(experiment):
-    rec = _profiled(experiment, PACKETS[experiment])
+    rec = _profiled(experiment)
     root_ns = rec.profiler.root.inclusive_ns()
     assert root_ns > 0
     assert root_ns == pytest.approx(rec.total_ns, rel=1e-9)
@@ -63,7 +41,7 @@ def test_table5_breakdown_covers_all_four_programs():
     """Table 5's A-D cost split, measured: each task's eBPF time shows
     up under its own ``xdp:<program>`` frame, and the per-program times
     sum exactly to the ledger's ``ebpf`` stage total."""
-    rec = _profiled("table5", PACKETS["table5"])
+    rec = _profiled("table5")
     programs = {
         "A": "xdp:xdp_drop_all",
         "B": "xdp:xdp_parse_drop",
@@ -100,16 +78,13 @@ def test_profiler_leaves_ledger_byte_identical(experiment):
     """The zero-overhead-off gate, inverted: even profiling *on* must
     not perturb the span ledger — profiler-only frames live outside it
     and leaf attribution uses the identical float-addition order."""
-    packets = PACKETS[experiment]
-    with trace.recording() as rec_plain:
-        _run_experiment(experiment, packets)
-    rec_prof = _profiled(experiment, packets)
-    assert rec_prof.ledger() == rec_plain.ledger()
+    plain = observe(experiment, AXES["trace_only"])
+    assert observe(experiment).ledger == plain.ledger
 
 
 def test_flamegraph_is_byte_identical_across_runs():
-    a = collapse(_profiled("fig2", 400).profiler.root)
-    b = collapse(_profiled("fig2", 400).profiler.root)
+    a = observe("fig2").flame
+    b = observe("fig2").flame
     assert a == b
     assert a  # non-trivial: at least one stack line
 
@@ -118,7 +93,7 @@ def test_fig2_tree_contains_expected_frames():
     """The call tree narrates the fig2 pipeline: kernel NIC servicing
     with its eBPF programs, and the PMD poll loop with the datapath
     input frame nested inside."""
-    rec = _profiled("fig2", 400)
+    rec = _profiled("fig2")
     labels = {node.label for node in _walk(rec.profiler.root)}
     assert "kernel.service_nic" in labels
     assert "dp.input" in labels

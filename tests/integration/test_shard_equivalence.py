@@ -1,11 +1,11 @@
 """Sharded execution is invisible: byte-identity, determinism,
 arbitrary partitions (DESIGN §17).
 
-The heavyweight gate (``repro.tools.shard_gate``) checks the full
-experiment set at CI packet counts; this suite proves the same
-properties at test-sized workloads, plus the ones only a property test
-can state — *any* port->shard partition of a seeded fault-plan world
-merges to the serial conservation ledger.
+The equivalence harness (``repro.tools.equivalence``, axes ``shards2``
+and ``shards4``) checks the full experiment set at CI packet counts;
+this suite proves the same properties at test-sized workloads, plus the
+ones only a property test can state — *any* port->shard partition of a
+seeded fault-plan world merges to the serial conservation ledger.
 """
 
 import json

@@ -8,83 +8,42 @@ experiment with batching plus every wall-clock memo layer must produce
 the byte-identical trace ledger the per-packet reference path produces.
 """
 
-import contextlib
-
 import pytest
 
-from repro.ovs import dpif_netdev
-from repro.sim import fastpath, trace
+from repro.sim import trace
+from repro.tools.equivalence import AXES, REGISTRY, observe, reference_mode
+
+DP_EXPERIMENTS = ("fig2", "fig9", "table2")
 
 
-@contextlib.contextmanager
-def _reference_mode():
-    """Run with burst classification and all wall-clock memos off —
-    the pre-batching observable behaviour."""
-    prev = dpif_netdev.BATCH_CLASSIFY
-    dpif_netdev.BATCH_CLASSIFY = False
-    try:
-        with fastpath.disabled():
-            yield
-    finally:
-        dpif_netdev.BATCH_CLASSIFY = prev
-
-
-def _experiment_ledger(experiment: str, packets: int) -> str:
-    with trace.recording() as rec:
-        if experiment == "fig2":
-            from repro.experiments.fig2_single_flow import run_fig2
-
-            run_fig2(packets=packets)
-        elif experiment == "fig9":
-            from repro.experiments.fig9_forwarding import run_fig9
-
-            run_fig9(packets=packets, scenarios=("P2P",))
-        else:
-            from repro.experiments.table2_optimizations import run_table2
-
-            run_table2(packets=packets)
-    return rec.ledger()
-
-
-def _fig9_ledger(packets: int = 300) -> str:
-    return _experiment_ledger("fig9", packets)
+def _ledger(experiment: str, packets=None) -> str:
+    return observe(experiment, AXES["trace_only"], packets).ledger
 
 
 def test_fig9_ledgers_are_byte_identical():
-    assert _fig9_ledger() == _fig9_ledger()
+    assert _ledger("fig9") == _ledger("fig9")
 
 
 @pytest.mark.parametrize("experiment,packets",
-                         [("fig2", 400), ("fig9", 300), ("table2", 400)])
+                         [(e, REGISTRY[e].packets) for e in DP_EXPERIMENTS])
 def test_batched_ledger_matches_reference(experiment, packets):
-    batched = _experiment_ledger(experiment, packets)
-    with _reference_mode():
-        reference = _experiment_ledger(experiment, packets)
+    batched = _ledger(experiment, packets)
+    with reference_mode():
+        reference = _ledger(experiment, packets)
     assert batched == reference
 
 
 def test_ledger_differs_when_the_run_differs():
     # Sanity for the regression above: the ledger is not trivially empty
     # or constant.
-    a, b = _fig9_ledger(packets=300), _fig9_ledger(packets=400)
+    a, b = _ledger("fig9", packets=300), _ledger("fig9", packets=400)
     assert a and b and a != b
 
 
-@pytest.mark.parametrize("experiment", ["fig2", "fig9", "table2"])
+@pytest.mark.parametrize("experiment", DP_EXPERIMENTS)
 def test_experiment_runs_conserve_cost(experiment):
     with trace.recording() as rec:
-        if experiment == "fig2":
-            from repro.experiments.fig2_single_flow import run_fig2
-
-            run_fig2(packets=400)
-        elif experiment == "fig9":
-            from repro.experiments.fig9_forwarding import run_fig9
-
-            run_fig9(packets=300, scenarios=("P2P",))
-        else:
-            from repro.experiments.table2_optimizations import run_table2
-
-            run_table2(packets=400)
+        REGISTRY[experiment].run()
     assert rec.total_ns > 0
     assert rec.conserved(), (
         f"{experiment}: spans {rec.total_ns!r} ns != "
