@@ -70,11 +70,10 @@ options:
   -p, --profile  like --trace, plus a call-tree profiler; prints the
                  perf-report-style tree after each experiment
   --no-jit       run eBPF programs through the interpreter instead of
-                 the JIT (same observables, slower wall-clock; equal to
-                 EBPF_JIT=0)
+                 the JIT (same observables, slower wall-clock)
   --no-dpjit     run megaflow action chains through the generic datapath
                  walk instead of compiled closures (same observables,
-                 slower wall-clock; equal to DP_JIT=0)
+                 slower wall-clock)
 """
 
 

@@ -37,9 +37,9 @@ path: identical action results, identical cache/stat counters, and
 byte-identical virtual-time charges (same charge values, in the same
 order, against the same accumulators — float addition is not
 associative, so outcomes may be memoized but charges are always
-replayed per packet).  Set :data:`BATCH_CLASSIFY` to ``False`` (or pass
-``batch_classify=False``) to run the reference path; the equivalence
-and determinism suites compare the two.
+replayed per packet).  Set :data:`BATCH_CLASSIFY` to ``False`` to run
+the reference path; the equivalence and determinism suites compare the
+two.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ MAX_RECIRC_PASSES = 8
 FLOW_LIMIT_MIN = 128
 FLOW_LIMIT_STEP = 1000
 
-#: Default for burst-oriented classification; instances may override via
-#: ``batch_classify``.  The reference per-packet path is kept for
-#: equivalence testing and recirculated passes.
+#: Burst-oriented classification switch, read at each burst.  The
+#: reference per-packet path is kept for equivalence testing and
+#: recirculated passes.
 BATCH_CLASSIFY = True
 
 #: Cap on the per-EMC cross-burst flow cache (token -> classification);
@@ -92,14 +92,6 @@ class DpPort:
     device: object = None
     rx_packets: int = 0
     tx_packets: int = 0
-    #: Which worker process owns this port under sharded execution
-    #: (DESIGN §17); placement metadata, byte-inert on serial runs.
-    shard: int = 0
-    #: True when tx on this port crosses into another shard (the
-    #: adapter is a cross-shard handoff ring); bumps the handoff tally.
-    handoff: bool = False
-    #: Packets that left this shard through the handoff ring.
-    tx_handoff_packets: int = 0
 
 
 @dataclass
@@ -140,12 +132,8 @@ class DpifNetdev:
     """The userspace datapath instance inside one vswitchd."""
 
     def __init__(self, name: str = "netdev@ovs-netdev",
-                 now_ns_fn: Callable[[], int] = lambda: 0,
-                 batch_classify: Optional[bool] = None) -> None:
+                 now_ns_fn: Callable[[], int] = lambda: 0) -> None:
         self.name = name
-        #: Tri-state: None defers to the module-level BATCH_CLASSIFY at
-        #: each burst, so tests can flip the global and compare paths.
-        self.batch_classify = batch_classify
         self.ports: Dict[int, DpPort] = {}
         self._port_by_name: Dict[str, int] = {}
         self._next_port = 1
@@ -323,9 +311,7 @@ class DpifNetdev:
             pkt.meta.recirc_id = 0
             pkt.meta.ct_state = 0
             pkt.meta.ct_zone = 0
-        batched = self.batch_classify
-        if batched is None:
-            batched = BATCH_CLASSIFY
+        batched = BATCH_CLASSIFY
         # Profiler-only frame (no ledger span): groups every charge this
         # burst makes under dp.input in the call tree.  One attribute
         # load when profiling is off.
@@ -748,12 +734,6 @@ class DpifNetdev:
             if sent is None:
                 sent = len(pkts)
             port.tx_packets += sent
-            if port.handoff:
-                # Cross-shard TX: the frames queue in the handoff ring
-                # until the coordinator ships them at the next barrier.
-                # A plain int (not a trace counter): the serial run has
-                # no handoffs and the ledgers must match byte-for-byte.
-                port.tx_handoff_packets += sent
             if sent < len(pkts):
                 # The adapter dropped the shortfall and counted it in
                 # its own per-ring counters; surface the event here too.

@@ -1,14 +1,16 @@
 """Equivalence harness: a layer that must change nothing changes nothing.
 
 Each *axis* is one configuration that must be invisible to every
-observable: the eBPF JIT off, the dp-JIT off, the per-packet reference
-path, an inert telemetry session, an inert fault plan, 2 and 4 shard
-workers, and a plain trace recorder in place of the profiler.  For each
-registered experiment the harness runs the default configuration once
-under :func:`repro.sim.profile.profiling`, reruns it under every axis,
-and byte-diffs the trace ledger, the counter map and the collapsed-stack
-flamegraph.  Each axis's guards then check that the default run really
-exercised what the axis turns off, so no row passes vacuously.
+observable: the eBPF JIT off, the dp-JIT off, burst classification off,
+the wall-clock memos off, both of those together (the per-packet
+reference path), an inert telemetry session, an inert fault plan, 2 and
+4 shard workers, and a plain trace recorder in place of the profiler.
+For each registered experiment the harness runs the default
+configuration once under :func:`repro.sim.profile.profiling`, reruns it
+under every axis, and byte-diffs the trace ledger, the counter map and
+the collapsed-stack flamegraph.  Each axis's guards then check that the
+default run really exercised what the axis turns off, so no row passes
+vacuously.
 
 The *trip proofs* show the comparison has teeth: a run perturbed on
 purpose — 1/1 sFlow sampling plus IPFIX, or a sharded merge replayed in
@@ -110,15 +112,21 @@ def dpjit_dispatched(experiment: Experiment,
 
 
 @contextlib.contextmanager
-def reference_mode() -> Iterator[None]:
-    """The per-packet reference path: no burst classify, no memos, no JIT."""
+def batching_off() -> Iterator[None]:
+    """Classify every packet on its own (no burst classification)."""
     prev = dpif_netdev.BATCH_CLASSIFY
     dpif_netdev.BATCH_CLASSIFY = False
     try:
-        with fastpath.disabled():
-            yield
+        yield
     finally:
         dpif_netdev.BATCH_CLASSIFY = prev
+
+
+@contextlib.contextmanager
+def reference_mode() -> Iterator[None]:
+    """The per-packet reference path: no burst classify, no memos, no JIT."""
+    with batching_off(), fastpath.disabled():
+        yield
 
 
 def _inert_fault_plan() -> ContextManager:
@@ -146,6 +154,9 @@ DEFAULT = Axis("default")
 AXES: Dict[str, Axis] = {a.name: a for a in (
     Axis("ebpf_jit_off", jit.disabled, guards=(nonempty, ebpf_ran)),
     Axis("dpjit_off", dpjit.disabled, guards=(nonempty, dpjit_dispatched)),
+    Axis("batching_off", batching_off),
+    # fastpath.ENABLED gates the memos and, with them, both JITs.
+    Axis("memo_off", fastpath.disabled),
     Axis("reference", reference_mode),
     Axis("telemetry_inert", lambda: telemetry.monitoring(Telemetry())),
     Axis("fault_plan_inert", _inert_fault_plan),

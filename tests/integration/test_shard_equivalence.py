@@ -19,13 +19,7 @@ from repro.experiments.fig9_forwarding import cell_units, run_fig9
 from repro.experiments.fig12_multiqueue import run_fig12
 from repro.sim import profile
 from repro.sim.profile import collapse
-from repro.sim.shard import (
-    PipelineSpec,
-    merge_ledgers,
-    run_pipeline,
-    run_units,
-)
-from repro.tools.conservation import PacketLedger
+from repro.sim.shard import run_units
 
 N_PORTS = 4
 _PLAN_SEED = 20260809
@@ -70,31 +64,6 @@ def test_merge_mutations_trip_on_a_real_experiment():
 
 
 # ----------------------------------------------------------------------
-# Pipeline sharding.
-# ----------------------------------------------------------------------
-def test_pipeline_partitions_merge_to_the_serial_identity():
-    spec = PipelineSpec(n_stages=4, n_flows=8, burst=32)
-    serial = run_pipeline(spec, n_packets=320, shards=1)
-    assert serial.forwarded == 320
-    for partition in ([0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 2, 0]):
-        sharded = run_pipeline(spec, n_packets=320,
-                               shards=max(partition) + 1,
-                               partition=partition)
-        assert sharded.identity() == serial.identity()
-        assert sharded.report.handoffs, "no cross-shard handoffs seen"
-
-
-def test_pipeline_handoff_accounting_is_truthful():
-    spec = PipelineSpec(n_stages=2, n_flows=4, burst=32)
-    result = run_pipeline(spec, n_packets=96, shards=2, partition=[0, 1])
-    (handoff,) = result.report.handoffs
-    assert handoff.name == "ring1"
-    assert (handoff.from_shard, handoff.to_shard) == (0, 1)
-    assert handoff.packets == 96
-    assert handoff.transfers == result.rounds - 1  # last round drains
-
-
-# ----------------------------------------------------------------------
 # The Hypothesis property: ANY partition merges exactly.
 # ----------------------------------------------------------------------
 def _serial_ledger():
@@ -125,11 +94,3 @@ def test_fault_world_run_twice_determinism(workers):
                             packets=120)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-
-def test_merge_ledgers_sums_integer_sinks_exactly():
-    merged = merge_ledgers([
-        PacketLedger(offered=10, forwarded=8, sinks={"a": 2}),
-        PacketLedger(offered=5, forwarded=4, sinks={"a": 1, "b": 0}),
-    ])
-    assert (merged.offered, merged.forwarded) == (15, 12)
-    assert merged.sinks == {"a": 3, "b": 0}

@@ -11,13 +11,14 @@ with a deliberately tiny EMC so displacement churn keeps invalidating
 the cross-burst flow cache.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.addresses import MacAddress
 from repro.net.builder import make_udp_packet
 from repro.net.flow import mask_from_fields
-from repro.ovs import odp
+from repro.ovs import dpif_netdev, odp
 from repro.ovs.dpif_netdev import DpifNetdev
 from repro.ovs.emc import ExactMatchCache
 from repro.ovs.netdevs import SimAdapter
@@ -31,8 +32,8 @@ DSTS = [f"10.1.0.{i}" for i in range(1, 9)]
 MASK = mask_from_fields(eth_type=-1, nw_dst=-1)
 
 
-def _make_world(batch_classify: bool):
-    dpif = DpifNetdev(batch_classify=batch_classify)
+def _make_world():
+    dpif = DpifNetdev()
     rx = SimAdapter()
     out_a = SimAdapter()
     out_b = SimAdapter()
@@ -72,11 +73,15 @@ def _packets(burst):
     ]
 
 
-def _observe(bursts, batch_classify: bool):
-    dpif, ctx, cpu, emc, p_rx, outs = _make_world(batch_classify)
-    with trace.recording() as rec:
-        for burst in bursts:
-            dpif.process_batch(_packets(burst), p_rx.port_no, ctx, emc)
+def _observe(bursts, batched: bool):
+    dpif, ctx, cpu, emc, p_rx, outs = _make_world()
+    # MonkeyPatch.context rather than the fixture: Hypothesis runs many
+    # examples per test call, and each must flip and restore the switch.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpif_netdev, "BATCH_CLASSIFY", batched)
+        with trace.recording() as rec:
+            for burst in bursts:
+                dpif.process_batch(_packets(burst), p_rx.port_no, ctx, emc)
     s = dpif.stats
     return {
         "tx": tuple(
@@ -107,16 +112,16 @@ bursts_st = st.lists(burst_st, min_size=1, max_size=10)
 @settings(deadline=None, max_examples=50)
 @given(bursts=bursts_st)
 def test_batched_path_is_observationally_equivalent(bursts):
-    ref = _observe(bursts, batch_classify=False)
-    bat = _observe(bursts, batch_classify=True)
+    ref = _observe(bursts, batched=False)
+    bat = _observe(bursts, batched=True)
     assert bat == ref
 
 
 @settings(deadline=None, max_examples=25)
 @given(bursts=bursts_st)
 def test_batched_path_is_deterministic(bursts):
-    assert (_observe(bursts, batch_classify=True)
-            == _observe(bursts, batch_classify=True))
+    assert (_observe(bursts, batched=True)
+            == _observe(bursts, batched=True))
 
 
 def test_repeated_identical_packets_share_one_extraction():
@@ -124,8 +129,8 @@ def test_repeated_identical_packets_share_one_extraction():
     and later bursts hit the cross-burst flow cache — while still being
     charged per packet (stats count every pass)."""
     bursts = [[(1, 0)] * 8, [(1, 0)] * 8]
-    ref = _observe(bursts, batch_classify=False)
-    bat = _observe(bursts, batch_classify=True)
+    ref = _observe(bursts, batched=False)
+    bat = _observe(bursts, batched=True)
     assert bat == ref
     assert bat["stats"][0] == 16
 
@@ -133,14 +138,14 @@ def test_repeated_identical_packets_share_one_extraction():
 def test_single_and_multi_output_actions_agree():
     # dst index 2 -> low byte 3 % 3 == 0 -> two outputs; index 0 -> one.
     bursts = [[(0, 0), (2, 0), (0, 1), (2, 1)], [(2, 0), (0, 0)]]
-    assert (_observe(bursts, batch_classify=False)
-            == _observe(bursts, batch_classify=True))
+    assert (_observe(bursts, batched=False)
+            == _observe(bursts, batched=True))
 
 
 def test_failed_upcalls_drop_identically():
     # dst index 4 -> low byte 5 -> upcall returns None.
     bursts = [[(4, 0), (4, 1), (0, 0)]]
-    ref = _observe(bursts, batch_classify=False)
-    bat = _observe(bursts, batch_classify=True)
+    ref = _observe(bursts, batched=False)
+    bat = _observe(bursts, batched=True)
     assert bat == ref
     assert bat["stats"][6] == 2  # dropped
